@@ -13,7 +13,6 @@ from typing import Dict, Generator
 
 from repro import effects
 from repro.bench.config import TellConfig
-from repro.bench.metrics import TxnMetrics
 from repro.bench.simcluster import SimulatedTell
 from repro.dispatch import Dispatcher
 from repro.errors import TellError, TransactionAborted
@@ -58,29 +57,18 @@ class SimulatedYcsb(SimulatedTell):
 
     # -- workload --------------------------------------------------------------
 
-    def run(self) -> TxnMetrics:
-        if not self._populated:
-            self.load()
+    def _spawn_terminals(self) -> None:
         config = self.config
-        end_time = config.duration_us
-        warmup_end = min(config.warmup_us, end_time)
         for pn_id in range(config.processing_nodes):
             handle = self._make_pn(pn_id)
             self._pn_handles.append(handle)
             for thread in range(config.threads_per_pn):
                 seed = (config.seed * 7919 + pn_id * 211 + thread) & 0x7FFFFFFF
                 self.sim.spawn(
-                    self._ycsb_terminal(handle, seed, warmup_end, end_time),
+                    self._ycsb_terminal(handle, seed, self._warmup_end,
+                                        self._end_time),
                     name=f"ycsb-pn{pn_id}-t{thread}",
                 )
-        if len(self.commit_managers) > 1:
-            for manager in self.commit_managers:
-                self.sim.spawn(
-                    self._cm_sync_loop(manager), name=f"cm{manager.cm_id}-sync"
-                )
-        self.sim.run(until=end_time)
-        self.metrics.measured_time_us = end_time - warmup_end
-        return self.metrics
 
     def _ycsb_terminal(self, handle, seed: int, warmup_end: float,
                        end_time: float) -> Generator:  # noqa: ANN001

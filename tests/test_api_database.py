@@ -57,8 +57,9 @@ class TestElasticity:
 
     def test_storage_elasticity(self):
         db = Database(storage_nodes=2)
-        db.cluster.add_node()
+        node_id = db.admin().add_storage_node()
         assert len(db.cluster.nodes) == 3
+        assert db.cluster.nodes[node_id].partitions  # rebalanced onto it
 
 
 class TestSessionBehaviour:

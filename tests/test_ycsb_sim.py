@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.config import TellConfig
 from repro.bench.ycsb_sim import SimulatedYcsb
+from repro.san.violations import SanitizerError
 
 
 def config(**overrides):
@@ -64,3 +65,21 @@ class TestSimulatedYcsb:
         for _key, record, _version in rows:
             for version in record.versions:
                 assert manager.completed.contains(version.tid)
+
+    @pytest.mark.parametrize("mix", ["A", "B", "F"])
+    def test_run_checks_sanitizers_and_snapshots_obs(self, monkeypatch, mix):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        deployment = SimulatedYcsb(config(mix=mix, observability=True),
+                                   record_count=500)
+        deployment.load()
+        metrics = deployment.run()  # raises SanitizerError unless clean
+        assert metrics.total_committed > 0
+        assert metrics.obs_snapshot is not None
+
+    def test_run_raises_on_sanitizer_violation(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        deployment = SimulatedYcsb(config(mix="B"), record_count=500)
+        deployment.load()
+        deployment.sanitizer_log.violation("TEST-PLANTED", "planted")
+        with pytest.raises(SanitizerError, match="TEST-PLANTED"):
+            deployment.run()
