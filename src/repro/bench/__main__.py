@@ -16,6 +16,7 @@ import sys
 import time
 
 from repro.bench import experiments
+from repro.bench.suites import SUITES, get_suite, record_rows, run_suite
 from repro.bench.tables import TABLE1_HEADERS, TABLE1_ROWS, print_table
 
 
@@ -184,17 +185,20 @@ def main(argv=None) -> int:
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument("experiments", nargs="*",
-                        help=f"one or more of: {', '.join(EXPERIMENTS)}")
+                        help=f"one or more of: {', '.join(EXPERIMENTS)}; "
+                             f"with --suite: labels of the suite's points "
+                             f"to run (default: all, or the smoke subset)")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments")
-    parser.add_argument("--suite", choices=("scale", "isolation", "elastic"),
+    parser.add_argument("--suite", choices=tuple(SUITES),
                         help="run a benchmark suite instead of the paper "
                              "experiments (scale: 16/64/128-node + "
                              "100-warehouse deployments; isolation: the "
                              "same skew workload under SI/WSI/SSI; "
                              "elastic: live SN double/halve cycles with "
-                             "before/during/after throughput; all "
-                             "appended to the perf report)")
+                             "before/during/after throughput; each "
+                             "merged into its section of the perf "
+                             "report)")
     parser.add_argument("--smoke", action="store_true",
                         help="with --suite: run only the smoke-sized "
                              "configuration (the CI gate)")
@@ -220,45 +224,15 @@ def main(argv=None) -> int:
                              "DIR (default: obs-snapshots/)")
     args = parser.parse_args(argv)
 
-    if args.suite == "scale":
-        from repro.bench.scale import (merge_scale_report, render_scale_curve,
-                                       run_scale_suite)
-
+    if args.suite:
+        suite = get_suite(args.suite)
         if args.sanitize:
             os.environ["REPRO_SANITIZE"] = "1"
-        points = run_scale_suite(smoke=args.smoke)
-        print(render_scale_curve(points))
+        rows = run_suite(suite, args.experiments, smoke=args.smoke)
+        print(suite.render(rows))
         if args.report != "-":
-            merge_scale_report(args.report, points)
-            print(f"[scale points merged into {args.report}]")
-        return 0
-
-    if args.suite == "isolation":
-        from repro.bench.isolation import (merge_isolation_report,
-                                           render_isolation_table,
-                                           run_isolation_suite)
-
-        if args.sanitize:
-            os.environ["REPRO_SANITIZE"] = "1"
-        rows = run_isolation_suite()
-        print(render_isolation_table(rows))
-        if args.report != "-":
-            merge_isolation_report(args.report, rows)
-            print(f"[isolation rows merged into {args.report}]")
-        return 0
-
-    if args.suite == "elastic":
-        from repro.bench.elastic import (merge_elastic_report,
-                                         render_elastic_table,
-                                         run_elastic_suite)
-
-        if args.sanitize:
-            os.environ["REPRO_SANITIZE"] = "1"
-        points = run_elastic_suite(smoke=args.smoke)
-        print(render_elastic_table(points))
-        if args.report != "-":
-            merge_elastic_report(args.report, points)
-            print(f"[elastic points merged into {args.report}]")
+            record_rows(suite, args.report, rows)
+            print(f"[{suite.section} {suite.rows} merged into {args.report}]")
         return 0
 
     if args.list or not args.experiments:

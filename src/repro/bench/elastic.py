@@ -19,22 +19,21 @@ The ``autoscale16`` point replaces the fixed schedule with the
 deterministic :class:`repro.elastic.Autoscaler` driving the same
 coordinator, and records its decision log.
 
-Use via ``python -m repro.bench --suite elastic`` (appends an
-``elastic`` section to ``BENCH_perf.json``) or
-:func:`run_elastic_suite` directly.
+Use via ``python -m repro.bench --suite elastic`` (merges the points
+into the ``elastic`` section of ``BENCH_perf.json``) or through
+:data:`SUITE` and :func:`repro.bench.suites.run_suite`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.bench.config import TellConfig
 from repro.bench.metrics import TxnMetrics
+from repro.bench.suites import Suite
 from repro.workloads.tpcc.params import TpccScale
 
 #: Phase boundaries as fractions of the run: the doubling starts at
@@ -81,28 +80,6 @@ def _point(
         "batch_cells": batch_cells,
         "autoscale": autoscale,
     }
-
-
-#: The suite, smallest first.  ``smoke`` is the CI gate: a 2->4->2 SN
-#: cycle small enough for every PR.  ``elastic64`` is the acceptance
-#: configuration -- a 64-node deployment (16 PNs + 48 SNs) doubling and
-#: halving its SN count under live TPC-C.  ``autoscale16`` starts the
-#: same 16-node deployment deliberately storage-tight and lets the
-#: deterministic autoscaler do the scaling instead of the schedule.
-def elastic_points() -> List[Dict[str, Any]]:
-    return [
-        _point("smoke", 2, 2, warehouses=1, duration_us=240_000.0,
-               threads_per_pn=4, customers_per_district=40,
-               batch_cells=128),
-        _point("diurnal16", 4, 12, warehouses=4, duration_us=300_000.0),
-        _point("elastic64", 16, 48, warehouses=8, duration_us=240_000.0,
-               customers_per_district=30),
-        _point("autoscale16", 4, 4, warehouses=2, duration_us=300_000.0,
-               threads_per_pn=16, autoscale=True),
-    ]
-
-
-SMOKE_LABELS = ("smoke",)
 
 
 def _phase_stats(metrics: TxnMetrics, window_us: float) -> Dict[str, Any]:
@@ -236,67 +213,6 @@ def _cycle(point: Dict[str, Any]) -> str:
             f"{point['sns_final']} SNs")
 
 
-def run_elastic_suite(
-    labels: Optional[List[str]] = None,
-    smoke: bool = False,
-    verbose: bool = True,
-) -> List[Dict[str, Any]]:
-    """Run the selected points (default: all, or the smoke subset)."""
-    points = elastic_points()
-    known = [point["label"] for point in points]
-    selected = labels or (list(SMOKE_LABELS) if smoke else known)
-    for label in selected:
-        if label not in known:
-            raise ValueError(
-                f"unknown elastic point {label!r} (known: {', '.join(known)})"
-            )
-    results = []
-    for point in points:
-        if point["label"] not in selected:
-            continue
-        result = run_elastic_point(point)
-        results.append(result)
-        if verbose:
-            phases = result["phases"]
-            print(
-                f"  {result['label']:12s} {_cycle(result):16s} "
-                f"{phases['before']['txns_per_s']:>9,.0f} / "
-                f"{phases['during']['txns_per_s']:>9,.0f} / "
-                f"{phases['after']['txns_per_s']:>9,.0f} txns/s "
-                f"({result['wall_s']:.1f}s wall)",
-                file=sys.stderr,
-            )
-    return results
-
-
-def merge_elastic_report(path: str, points: List[Dict[str, Any]]) -> None:
-    """Merge ``points`` into the ``elastic`` section of ``path``.
-
-    The rest of the report (``benchmarks``, ``scale``, ``isolation``)
-    is preserved; points are replaced by label so a smoke run refreshes
-    ``smoke`` without clobbering the full suite.
-    """
-    report: Dict[str, Any] = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    section = report.setdefault("elastic", {})
-    existing = {point["label"]: point for point in section.get("points", [])}
-    for point in points:
-        existing[point["label"]] = point
-    order = [point["label"] for point in elastic_points()]
-    section["points"] = sorted(
-        existing.values(),
-        key=lambda point: (
-            order.index(point["label"])
-            if point["label"] in order else len(order)
-        ),
-    )
-    section["created_unix"] = int(time.time())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
 def render_elastic_table(points: List[Dict[str, Any]]) -> str:
     """ASCII before/during/after throughput per point."""
     if not points:
@@ -326,3 +242,27 @@ def render_elastic_table(points: List[Dict[str, Any]]) -> str:
                      if not entry.endswith(" -")]
             lines.append(f"    autoscaler: {', '.join(acted) or '(held)'}")
     return "\n".join(lines)
+
+
+#: The suite, smallest first.  ``smoke`` is the CI gate: a 2->4->2 SN
+#: cycle small enough for every PR.  ``elastic64`` is the acceptance
+#: configuration -- a 64-node deployment (16 PNs + 48 SNs) doubling and
+#: halving its SN count under live TPC-C.  ``autoscale16`` starts the
+#: same 16-node deployment deliberately storage-tight and lets the
+#: deterministic autoscaler do the scaling instead of the schedule.
+SUITE = Suite(
+    section="elastic",
+    points=(
+        _point("smoke", 2, 2, warehouses=1, duration_us=240_000.0,
+               threads_per_pn=4, customers_per_district=40,
+               batch_cells=128),
+        _point("diurnal16", 4, 12, warehouses=4, duration_us=300_000.0),
+        _point("elastic64", 16, 48, warehouses=8, duration_us=240_000.0,
+               customers_per_district=30),
+        _point("autoscale16", 4, 4, warehouses=2, duration_us=300_000.0,
+               threads_per_pn=16, autoscale=True),
+    ),
+    smoke=("smoke",),
+    run_point=run_elastic_point,
+    render=render_elastic_table,
+)

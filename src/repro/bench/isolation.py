@@ -16,15 +16,17 @@ and the anomaly counts are exact:
   write-skew cycle;
 * under WSI/SSI commit-time validation aborts one of them, trading
   throughput for zero anomalies.
+
+Use via ``python -m repro.bench --suite isolation`` (merges one row per
+mode into the ``isolation`` section of ``BENCH_perf.json``) or through
+:data:`SUITE` and :func:`repro.bench.suites.run_suite`.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import Any, Dict, Generator, List
 
+from repro.bench.suites import Suite
 from repro.errors import TellError, TransactionAborted
 
 #: Modes compared, in presentation order.
@@ -125,18 +127,6 @@ def run_isolation_point(mode: str, pairs: int = 4, rounds: int = 6) -> Dict[str,
     }
 
 
-def run_isolation_suite(
-    modes: Optional[Sequence[str]] = None,
-    pairs: int = 4,
-    rounds: int = 6,
-) -> List[Dict[str, Any]]:
-    """One row per isolation mode (default: all three)."""
-    return [
-        run_isolation_point(mode, pairs=pairs, rounds=rounds)
-        for mode in (modes or MODES)
-    ]
-
-
 def render_isolation_table(rows: List[Dict[str, Any]]) -> str:
     """Fixed-width comparison table for the terminal/report."""
     lines = [
@@ -156,24 +146,14 @@ def render_isolation_table(rows: List[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def merge_isolation_report(path: str, rows: List[Dict[str, Any]]) -> None:
-    """Merge ``rows`` into the ``isolation`` section of ``path``,
-    keyed by mode; the rest of the report is preserved (same contract
-    as :func:`repro.bench.scale.merge_scale_report`)."""
-    report: Dict[str, Any] = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    section = report.setdefault("isolation", {})
-    existing = {row["mode"]: row for row in section.get("modes", [])}
-    for row in rows:
-        existing[row["mode"]] = row
-    section["modes"] = sorted(
-        existing.values(),
-        key=lambda row: (
-            MODES.index(row["mode"]) if row["mode"] in MODES else len(MODES)
-        ),
-    )
-    section["created_unix"] = int(time.time())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+#: One point per mode; the suite is cheap enough that ``--smoke`` runs
+#: them all.
+SUITE = Suite(
+    section="isolation",
+    points=tuple({"mode": mode} for mode in MODES),
+    smoke=MODES,
+    run_point=lambda point: run_isolation_point(point["mode"]),
+    render=render_isolation_table,
+    rows="modes",
+    key="mode",
+)

@@ -7,6 +7,10 @@ import json
 import math
 from typing import Dict, List, Optional, Tuple
 
+# The percentile lives in repro.obs; perfbench/stats.py imports it from
+# here under this name.
+from repro.obs import percentile as _percentile
+
 
 class LatencyStats:
     """Mean, standard deviation, and tail percentiles of a latency set."""
@@ -43,25 +47,6 @@ class LatencyStats:
             f"LatencyStats(n={self.count}, mean={self.mean_ms:.2f}ms, "
             f"sigma={self.std_ms:.2f}ms, p99={self.p99_us / 1000:.2f}ms)"
         )
-
-
-def _percentile(ordered: List[float], fraction: float) -> float:
-    """Linear interpolation between closest ranks (numpy's default).
-
-    The previous nearest-rank rounding could be off by most of one
-    inter-sample gap on small or skewed samples; interpolating matches
-    the conventional definition: rank = fraction * (n - 1), and the
-    value is interpolated between floor(rank) and ceil(rank).
-    """
-    if not ordered:
-        return 0.0
-    rank = fraction * (len(ordered) - 1)
-    lower = int(rank)
-    upper = lower + 1
-    if upper >= len(ordered):
-        return ordered[-1]
-    weight = rank - lower
-    return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
 
 
 class TxnMetrics:

@@ -19,8 +19,9 @@ Optimizations must be *behaviour-invariant*: the ``tpcc_e2e`` benchmark
 records :meth:`repro.bench.metrics.TxnMetrics.digest` and
 :func:`build_report` refuses to claim a speedup when the digest moved.
 
-Use via ``tools/perf_report.py`` (writes ``BENCH_perf.json``) or the
-``repro-perf`` console script after ``pip install -e .``.
+Use via ``tools/perf_report.py`` (writes the ``benchmarks`` section of
+``BENCH_perf.json`` and keeps the others) or the ``repro-perf`` console
+script after ``pip install -e .``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import json
 import sys
 import time
 from typing import Any, Callable, Dict, List, Optional
+
+from repro.bench.suites import merge_report
 
 BENCH_SCHEMA = "repro-perf/1"
 
@@ -295,21 +298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="repetitions per benchmark, best kept (default 3)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny workloads, one repetition (CI smoke)")
-    parser.add_argument("--render-scale", action="store_true",
-                        help="print the events/s-vs-deployment-size curve "
-                             "from the report's 'scale' section (written "
-                             "by `python -m repro.bench --suite scale`) "
-                             "and exit without benchmarking")
     args = parser.parse_args(argv)
-
-    if args.render_scale:
-        from repro.bench.scale import render_scale_curve
-
-        path = args.output if args.output != "-" else "BENCH_perf.json"
-        with open(path, "r", encoding="utf-8") as handle:
-            points = json.load(handle).get("scale", {}).get("points", [])
-        print(render_scale_curve(points))
-        return 0
 
     # Load the baseline before benchmarking so a bad path fails in
     # milliseconds, not after minutes of measurement.
@@ -331,12 +320,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     after = run_suite(args.benchmarks or None, repeat=repeat, smoke=args.smoke)
 
     report = build_report(after, before)
-    encoded = json.dumps(report, indent=2, sort_keys=True)
     if args.output == "-":
-        print(encoded)
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(encoded + "\n")
+        # Replace only the microbenchmarks' keys: the sections other
+        # suites merged into the report stay, and a stale `invariance`
+        # goes when this run has no tpcc_e2e digest.
+        merge_report(args.output, {"invariance": None, **report})
         print(f"wrote {args.output}", file=sys.stderr)
     for name, entry in report["benchmarks"].items():
         if "speedup" in entry:

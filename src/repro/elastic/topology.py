@@ -7,7 +7,7 @@ fail-over, replica restore) advances a monotonically increasing **epoch**
 and is recorded in ``epoch_log`` -- which is what makes migration
 schedules auditable and fixed-seed deterministic.
 
-Encapsulation contract (enforced by lint rule RL013): the attributes
+Encapsulation contract (enforced by lint rule RL012): the attributes
 ``epoch``, ``epoch_log``, and ``_handoffs`` may only be *written* inside
 the ``repro.elastic`` package.  Everything else in the tree -- the
 management node, the fabric, the admin API -- mutates ownership through

@@ -13,7 +13,8 @@ the two in sync when adding rules.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import (FrozenSet, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from repro.lint.index import ModuleSummary, ProjectIndex
 
@@ -871,118 +872,106 @@ Delay once before the loop (`pause = delay_of(step)` ... `yield pause`).
         yield from visit(tree, ())
 
 
-class RL012IsolationEncapsulation(Rule):
+class _Fence(NamedTuple):
+    """One row of the ownership fence: ``attrs`` belong to ``owner``."""
+
+    attrs: FrozenSet[str]
+    owner: str
+    #: True: only mutations are fenced (reads are the public surface);
+    #: False: any access (load, store, delete) is.
+    mutation_only: bool
+    state: str
+    surface: str
+
+
+class RL012OwnershipFence(Rule):
     code = "RL012"
-    title = "isolation-protocol state touched outside repro.core.isolation"
+    title = "package-owned state touched outside its owning package"
     explain = """\
-The isolation strategy layer (repro.core.isolation) owns all read-set
-and commit-validation state: the per-transaction read-key capture
-(`txn._read_keys`, installed by `IsolationProtocol.attach`) and the
-validator's window (`_commit_window`, `_validation_horizon`).  That
-ownership is what makes protocols pluggable -- SI never allocates the
-state, and WSI/SSI can change its representation freely.  Library code
-elsewhere that reads or writes these attributes directly re-hardwires
-one protocol's internals into the shared pipeline: it breaks under SI
-(the attribute does not exist), silently desynchronizes the validator
-window, and defeats the strategy seam the refactor introduced.
+Some state belongs to one package, and only that package may touch it;
+everything else goes through the owner's surface.  RL012 is one table
+of such fences, one row each:
 
-RL012 fires on any attribute access (load, store, or delete) named
-`_read_keys`, `_commit_window`, or `_validation_horizon` in a
-`repro.*` module outside the repro.core.isolation package.  Code that
-needs the read set must go through the protocol surface instead:
-`txn.tracks_reads` / `protocol.note_reads(...)` / the yielded
-`effects.ValidateCommit` request.  Tests and tools are out of scope
-(their module names are not under `repro.`).
+* The isolation strategy layer (repro.core.isolation) owns all read-set
+  and commit-validation state: the per-transaction read-key capture
+  (`txn._read_keys`, installed by `IsolationProtocol.attach`) and the
+  validator's window (`_commit_window`, `_validation_horizon`).  That
+  ownership is what makes protocols pluggable -- SI never allocates
+  the state, and WSI/SSI can change its representation freely.  Code
+  elsewhere that touches it breaks under SI (the attribute does not
+  exist), desynchronizes the validator window, and defeats the
+  strategy seam.  Any access (load, store, or delete) is fenced; go
+  through `txn.tracks_reads` / `protocol.note_reads(...)` / the
+  yielded `effects.ValidateCommit` request instead.
+* The versioned topology (repro.elastic) owns all ownership state: the
+  epoch counter (`epoch`), its audit trail (`epoch_log`), and the
+  in-flight handoff registry (`_handoffs`).  Every mutation goes
+  through `begin_handoff` / `finish_handoff` / `abort_handoff` /
+  `fail_over`, each a single atomic epoch step -- the invariant that
+  lets in-flight requests detect a stale route with one `WrongOwner`
+  check and lets migrations abort cleanly.  Only *mutation* is fenced
+  -- assignment, augmented assignment, deletion, or a mutating method
+  call (`append`, `pop`, `clear`, ...); reading is fine (the obs
+  collectors and benches do).
+
+The rule fires in `repro.*` modules outside the owning package.  Tests
+and tools are out of scope (their module names are not under `repro.`).
+A new package fence is a new row of `FENCES`.
 """
 
-    #: The only package allowed to touch protocol-private state.
-    ISOLATION_PACKAGE = "repro.core.isolation"
+    FENCES = (
+        _Fence(
+            frozenset({"_read_keys", "_commit_window", "_validation_horizon"}),
+            "repro.core.isolation", False, "isolation-protocol state",
+            "the protocol surface (tracks_reads / note_reads / "
+            "ValidateCommit)",
+        ),
+        _Fence(
+            frozenset({"epoch", "epoch_log", "_handoffs"}),
+            "repro.elastic", True, "topology state",
+            "the Topology surface (begin/finish/abort_handoff, fail_over)",
+        ),
+    )
 
-    _PRIVATE_STATE = frozenset({
-        "_read_keys", "_commit_window", "_validation_horizon",
-    })
-
-    def check(self, module: ModuleSummary, tree: ast.Module,
-              index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
-        name = module.module
-        if not in_packages(name, ("repro",)):
-            return
-        if in_packages(name, (self.ISOLATION_PACKAGE,)):
-            return
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr in self._PRIVATE_STATE):
-                yield node, (
-                    f"module {name} touches isolation-protocol state "
-                    f"`{node.attr}` directly; only repro.core.isolation "
-                    f"may -- go through the protocol surface "
-                    f"(tracks_reads / note_reads / ValidateCommit)"
-                )
-
-
-class RL013TopologyEncapsulation(Rule):
-    code = "RL013"
-    title = "topology epoch/ownership state mutated outside repro.elastic"
-    explain = """\
-The versioned topology (repro.elastic.topology) owns all ownership
-state: the epoch counter (`epoch`), its audit trail (`epoch_log`), and
-the in-flight handoff registry (`_handoffs`).  Every mutation must go
-through its methods (`begin_handoff` / `finish_handoff` /
-`abort_handoff` / `fail_over`), because each one is a single atomic
-epoch step -- the invariant that lets in-flight requests detect a
-stale route with one `WrongOwner` check and lets migrations abort
-cleanly.  Library code elsewhere that bumps the epoch or edits the
-handoff table directly can create an ownerless instant, desynchronize
-the partition map from the epoch log, or leave a handoff the leak
-checker then reports.
-
-RL013 fires on any *mutation* -- assignment, augmented assignment,
-deletion, or a mutating method call (`append`, `pop`, `clear`, ...) --
-of an attribute named `epoch`, `epoch_log`, or `_handoffs` in a
-`repro.*` module outside the repro.elastic package.  Reading them is
-fine (the obs collectors and benches do); changing them is not.
-Tests and tools are out of scope (their module names are not under
-`repro.`).
-"""
-
-    #: The only package allowed to mutate topology state.
-    ELASTIC_PACKAGE = "repro.elastic"
-
-    _OWNERSHIP_STATE = frozenset({"epoch", "epoch_log", "_handoffs"})
     _MUTATORS = frozenset({
         "append", "extend", "insert", "remove", "pop", "popitem", "clear",
         "update", "setdefault",
     })
 
+    def _touched(self, node: ast.AST, fence: _Fence) -> Optional[str]:
+        """How ``node`` touches ``fence``'s state, or None if it does not."""
+        if isinstance(node, ast.Attribute) and node.attr in fence.attrs:
+            if (not fence.mutation_only
+                    or isinstance(node.ctx, (ast.Store, ast.Del))):
+                return node.attr
+        elif (fence.mutation_only
+                and isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in self._MUTATORS
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr in fence.attrs):
+            return f"{node.func.value.attr}.{node.func.attr}(...)"
+        return None
+
     def check(self, module: ModuleSummary, tree: ast.Module,
               index: ProjectIndex) -> Iterator[Tuple[ast.AST, str]]:
         name = module.module
         if not in_packages(name, ("repro",)):
             return
-        if in_packages(name, (self.ELASTIC_PACKAGE,)):
+        fences = [fence for fence in self.FENCES
+                  if not in_packages(name, (fence.owner,))]
+        if not fences:
             return
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr in self._OWNERSHIP_STATE
-                    and isinstance(node.ctx, (ast.Store, ast.Del))):
-                yield node, (
-                    f"module {name} mutates topology state `{node.attr}` "
-                    f"directly; only repro.elastic may -- go through the "
-                    f"Topology surface (begin/finish/abort_handoff, "
-                    f"fail_over)"
-                )
-            elif (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self._MUTATORS
-                    and isinstance(node.func.value, ast.Attribute)
-                    and node.func.value.attr in self._OWNERSHIP_STATE):
-                yield node, (
-                    f"module {name} mutates topology state "
-                    f"`{node.func.value.attr}.{node.func.attr}(...)` "
-                    f"directly; only repro.elastic may -- go through the "
-                    f"Topology surface (begin/finish/abort_handoff, "
-                    f"fail_over)"
-                )
+            for fence in fences:
+                touched = self._touched(node, fence)
+                if touched is not None:
+                    verb = "mutates" if fence.mutation_only else "touches"
+                    yield node, (
+                        f"module {name} {verb} {fence.state} `{touched}` "
+                        f"directly; only {fence.owner} may -- go through "
+                        f"{fence.surface}"
+                    )
 
 
 ALL_RULES: List[Rule] = [
@@ -997,8 +986,7 @@ ALL_RULES: List[Rule] = [
     RL009SanitizerMutation(),
     RL010SanitizerObservability(),
     RL011UninternedDelay(),
-    RL012IsolationEncapsulation(),
-    RL013TopologyEncapsulation(),
+    RL012OwnershipFence(),
 ]
 
 RULES_BY_CODE = {rule.code: rule for rule in ALL_RULES}

@@ -22,7 +22,8 @@ from typing import Callable, List, Optional, Tuple
 from repro.obs.exporters import (OBS_SCHEMA, PHASE_TABLE_HEADERS,
                                  phase_table_rows, to_json, to_prometheus,
                                  validate_snapshot)
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import (Counter, Gauge, Histogram, MetricsRegistry,
+                                percentile)
 from repro.obs.tracing import PHASES, PhaseBreakdown, Span, Tracer
 
 #: Environment flag mirroring ``REPRO_SANITIZE``: any non-empty value
@@ -34,7 +35,7 @@ __all__ = [
     "Observability", "PhaseBreakdown", "PHASES", "Span", "Tracer",
     "OBS_SCHEMA", "PHASE_TABLE_HEADERS", "ENV_FLAG", "obs_enabled",
     "install_sink",
-    "clear_sink", "emit", "phase_table_rows", "to_json",
+    "clear_sink", "emit", "percentile", "phase_table_rows", "to_json",
     "to_prometheus", "validate_snapshot",
 ]
 

@@ -18,6 +18,26 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
+def percentile(ordered: List[float], fraction: float) -> float:
+    """The ``fraction`` quantile of an ascending-sorted sample.
+
+    Linear interpolation between closest ranks (numpy's default):
+    rank = fraction * (n - 1), and the value is interpolated between
+    floor(rank) and ceil(rank).  Nearest-rank rounding could be off by
+    most of one inter-sample gap on small or skewed samples.  An empty
+    sample gives 0.0.
+    """
+    if not ordered:
+        return 0.0
+    rank = fraction * (len(ordered) - 1)
+    lower = int(rank)
+    upper = lower + 1
+    if upper >= len(ordered):
+        return ordered[-1]
+    weight = rank - lower
+    return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
+
+
 def _label_key(labels: Dict[str, str]) -> LabelKey:
     if not labels:
         return ()

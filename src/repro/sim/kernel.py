@@ -249,7 +249,8 @@ class Simulator:
         self._buckets: Dict[float, List[Tuple[Optional[Process], Any]]] = {}
         self._horizon: List[float] = []
         #: Same-time ready FIFO (policy ``None`` only).  Every schedule
-        #: for the *current* timestamp lands here instead of a bucket.
+        #: for the *current* timestamp lands here instead of a bucket,
+        #: and a bucket joins it whole when the clock reaches its time.
         #: Ordering invariant: a bucket entry at time T was pushed while
         #: the clock was still < T (zero-delay schedules at T are routed
         #: here instead), so all bucket entries co-timed with the clock
@@ -328,16 +329,16 @@ class Simulator:
         ``target`` finishes, or the next event lies beyond ``until``
         (pause: event stays queued) / ``limit`` (error).
 
-        Delivery is batched per timestamp: the loop replays the calendar
-        bucket co-timed with the clock in append (= sequence) order,
-        then the same-time ready FIFO (which only grows by appends while
-        draining), and only then pays the ``until``/``limit``
-        comparisons and advances time -- once per timestamp instead of
-        once per event.  ``Process._step`` is inlined for the
-        Delay/Event fast paths; all of this preserves the exact
-        (when, seq) delivery order of the all-heap kernel (see
-        ``_buckets``/``_ready``), which the determinism digests pin
-        down.
+        Delivery is batched per timestamp: when the clock reaches a
+        timestamp, that timestamp's whole calendar bucket joins the
+        (then empty) ready FIFO, and the loop drains only the FIFO.
+        Every bucket entry was scheduled before anything that joins the
+        FIFO later, so FIFO order is the exact (when, seq) delivery order
+        of the all-heap kernel (see ``_buckets``/``_ready``), which the
+        determinism digests pin down.  The ``until``/``limit``
+        comparisons are paid once per timestamp instead of once per
+        event, and ``Process._step`` is inlined for the Delay/Event fast
+        paths.
         """
         if self._policy is not None:
             self._drain_policy(until, target, limit)
@@ -352,70 +353,17 @@ class Simulator:
         delay_cls = Delay
         event_cls = Event
         events = 0
+        now = self.now
         try:
-            while horizon or ready:
-                if self._stopped or (target is not None and target.finished):
-                    return
-                now = self.now
-                # (1) The bucket co-timed with the clock (every entry was
-                # pushed before the clock reached `now`, so the whole
-                # bucket precedes every ready entry).  An early return
-                # must leave the unconsumed suffix queued, hence the
-                # index walk instead of a destructive pop.
-                if horizon and horizon[0] == now:
-                    bucket = buckets[now]
-                    index = 0
-                    while index < len(bucket):
-                        process, value = bucket[index]
-                        index += 1
-                        events += 1
-                        if process is None:
-                            value()  # plain callback scheduled via call_at
-                        elif not process.finished:
-                            try:
-                                yielded = process.generator.send(value)
-                            except StopIteration as stop:
-                                process.finished = True
-                                process.result = stop.value
-                                process.done_event.trigger(stop.value)
-                            else:
-                                cls = yielded.__class__
-                                if cls is delay_cls:
-                                    duration = yielded.duration
-                                    if duration > 0.0:
-                                        when = now + duration
-                                        slot = buckets.get(when)
-                                        if slot is None:
-                                            buckets[when] = [(process, None)]
-                                            push(horizon, when)
-                                        else:
-                                            slot.append((process, None))
-                                    else:
-                                        append((process, None))
-                                elif cls is event_cls:
-                                    if yielded.triggered:
-                                        append((process, yielded.value))
-                                    else:
-                                        yielded._waiters.append(process)
-                                else:
-                                    self._resume_slow(process, yielded)
-                        if self._stopped or (
-                            target is not None and target.finished
-                        ):
-                            del bucket[:index]
-                            if not bucket:
-                                del buckets[now]
-                                pop(horizon)
-                            return
-                    del buckets[now]
-                    pop(horizon)
-                # (2) Same-time FIFO wakes; appends during the drain keep
+            while not (self._stopped
+                       or (target is not None and target.finished)):
+                # Same-time FIFO wakes; appends during the drain keep
                 # their scheduling order.
                 while ready:
                     process, value = popleft()
                     events += 1
                     if process is None:
-                        value()
+                        value()  # plain callback scheduled via call_at
                     elif not process.finished:
                         try:
                             yielded = process.generator.send(value)
@@ -446,7 +394,7 @@ class Simulator:
                                 self._resume_slow(process, yielded)
                     if self._stopped or (target is not None and target.finished):
                         return
-                # (3) Advance: pay the pause/limit checks once per step.
+                # Advance: pay the pause/limit checks once per timestamp.
                 if not horizon:
                     return
                 when = horizon[0]
@@ -458,7 +406,9 @@ class Simulator:
                         f"{target.name if target else 'run'} did not finish "
                         f"before {limit}"
                     )
-                self.now = when
+                pop(horizon)
+                self.now = now = when
+                ready.extend(buckets.pop(when))
         finally:
             self.events_processed += events
 

@@ -564,15 +564,16 @@ class TestIsolationBench:
         assert wsi["committed"] < si["committed"]
 
     def test_merge_report_preserves_and_replaces(self, tmp_path):
-        from repro.bench.isolation import merge_isolation_report
+        from repro.bench.isolation import SUITE
+        from repro.bench.suites import record_rows
 
         path = tmp_path / "perf.json"
         path.write_text(json.dumps({"scale": {"points": []}}))
-        merge_isolation_report(str(path), [
-            {"mode": "si", "committed": 10},
+        record_rows(SUITE, str(path), [
             {"mode": "wsi", "committed": 7},
+            {"mode": "si", "committed": 10},
         ])
-        merge_isolation_report(str(path), [{"mode": "wsi", "committed": 8}])
+        record_rows(SUITE, str(path), [{"mode": "wsi", "committed": 8}])
         report = json.loads(path.read_text())
         assert report["scale"] == {"points": []}  # untouched
         by_mode = {r["mode"]: r for r in report["isolation"]["modes"]}

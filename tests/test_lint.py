@@ -702,7 +702,7 @@ class TestRL011:
 
 
 # ---------------------------------------------------------------------------
-# RL012 -- isolation-protocol state touched outside repro.core.isolation
+# RL012, isolation row -- protocol state touched outside repro.core.isolation
 # ---------------------------------------------------------------------------
 
 
@@ -757,9 +757,20 @@ class TestRL012:
                 return txn._read_keys  # repro-lint: ignore[RL012] fixture
         """, module="repro.core.fixture") == []
 
+    def test_each_row_exempts_only_its_owner(self):
+        assert codes("""
+            def snoop(txn):
+                return txn._read_keys
+        """, module="repro.elastic.coordinator") == ["RL012"]
+        assert codes("""
+            def rewind(topology):
+                topology.epoch = 1
+        """, module="repro.core.isolation.validated") == ["RL012"]
+
 
 # ---------------------------------------------------------------------------
-# RL013 -- topology epoch/ownership state mutated outside repro.elastic
+# RL012, topology row -- epoch/ownership state mutated outside repro.elastic
+# (the class keeps the name of RL013, the rule this row replaced)
 # ---------------------------------------------------------------------------
 
 
@@ -768,25 +779,25 @@ class TestRL013:
         assert codes("""
             def rewind(topology):
                 topology.epoch = 1
-        """, module="repro.store.cluster") == ["RL013"]
+        """, module="repro.store.cluster") == ["RL012"]
 
     def test_epoch_augassign_fires(self):
         assert codes("""
             def bump(topology):
                 topology.epoch += 1
-        """, module="repro.bench.simcluster") == ["RL013"]
+        """, module="repro.bench.simcluster") == ["RL012"]
 
     def test_handoffs_mutating_call_fires(self):
         assert codes("""
             def forge(topology, handoff):
                 topology._handoffs.pop(handoff.partition_id)
-        """, module="repro.store.management") == ["RL013"]
+        """, module="repro.store.management") == ["RL012"]
 
     def test_epoch_log_append_fires(self):
         assert codes("""
             def fake(topology):
                 topology.epoch_log.append((99, "forged"))
-        """, module="repro.api.admin") == ["RL013"]
+        """, module="repro.api.admin") == ["RL012"]
 
     def test_epoch_read_is_clean(self):
         # Reads are the supported surface: obs gauges and benches report
@@ -812,7 +823,7 @@ class TestRL013:
     def test_suppression(self):
         assert codes("""
             def probe(topology):
-                topology.epoch = 7  # repro-lint: ignore[RL013] fixture
+                topology.epoch = 7  # repro-lint: ignore[RL012] fixture
         """, module="repro.core.fixture") == []
 
 

@@ -44,9 +44,10 @@ BENCHMARK = "tpcc_e2e"
 
 def run_scale_smoke(args):
     """Digest + events/s gate on the smallest scale-suite deployment."""
-    from repro.bench.scale import SMOKE_LABELS, run_scale_suite
+    from repro.bench import suites
+    from repro.bench.scale import SUITE
 
-    label = SMOKE_LABELS[0]
+    label = SUITE.smoke[0]
     with open(args.baseline) as handle:
         points = json.load(handle).get("scale", {}).get("points", [])
     baseline = next((p for p in points if p["label"] == label), None)
@@ -60,7 +61,7 @@ def run_scale_smoke(args):
           f"vs {args.baseline} ({baseline['events_per_s']:,.0f} events/s)")
     best = None
     for _ in range(max(1, args.repeat)):
-        result = run_scale_suite([label], verbose=False)[0]
+        result = suites.run_suite(SUITE, [label], verbose=False)[0]
         if best is None or result["events_per_s"] > best["events_per_s"]:
             best = result
 
